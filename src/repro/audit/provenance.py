@@ -9,7 +9,8 @@ entry point.  Local names are mapped to small symbol sets:
   ``put_mandatory``, ``ch3_put_steps``);
 * ``"cost:<key>"`` — a fully resolved registry key;
 * ``"proc"`` — the rank's Proc handle (any chain ending ``.proc`` or a
-  propagated parameter);
+  propagated parameter), or a ``ChargeRecorder(...)`` standing in for
+  it while a charge plan compiles;
 * ``"chargefn"`` — a hoisted bound method (``charge =
   self.proc.charge``);
 * ``"cat:<MEMBER>"`` — a resolved Category.
@@ -35,6 +36,10 @@ SymSet = frozenset[str]
 UNKNOWN: SymSet = frozenset({"?"})
 _INTERESTING = ("cost:", "group:", "cat:")
 _INTERESTING_EXACT = ("costs", "proc", "chargefn")
+
+#: Classes whose instances stand in for a Proc while a charge plan
+#: compiles: charges recorded on them are charge sites like any other.
+RECORDER_CLASSES = frozenset({"ChargeRecorder"})
 
 #: Callee names that count as observable fast-path work for FP104.
 WORK_CALLS = frozenset({
@@ -256,6 +261,9 @@ class ProvenanceAnalyzer:
         if isinstance(expr, ast.IfExp):
             return (self._resolve(expr.body, env, func)
                     | self._resolve(expr.orelse, env, func))
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
+                and expr.func.id in RECORDER_CLASSES:
+            return frozenset({"proc"})
         return UNKNOWN
 
     # -- calls -------------------------------------------------------------

@@ -4,9 +4,10 @@ Functionally equivalent to CH4 (same matching engine, same window
 registry, same fabrics) but with the layered critical path the paper
 measures as "MPICH/Original": virtual-connection lookup, protocol
 dispatch, queue management, always-allocated requests, and packet-based
-RMA.  Each step performs its (modeled) work and charges the
-corresponding :data:`~repro.instrument.costs.CH3_ISEND_STEPS` /
-:data:`~repro.instrument.costs.CH3_PUT_STEPS` cost.
+RMA.  Each operation charges the corresponding
+:data:`~repro.instrument.costs.CH3_ISEND_STEPS` /
+:data:`~repro.instrument.costs.CH3_PUT_STEPS` table, precompiled into
+one charge plan per table.
 
 CH3 predates the Section 3 extensions — any operation carrying
 extension flags is rejected, mirroring that MPICH/Original has no such
@@ -24,6 +25,7 @@ from repro.core.ops import AccOp, GetOp, PutOp, RecvOp, SendOp, SyncState
 from repro.datatypes.pack import pack, packed_size, unpack
 from repro.errors import MPIErrArg
 from repro.instrument.costs import COSTS, CostModel
+from repro.instrument.plan import ChargePlan, ChargeRecorder
 from repro.netmod.base import Netmod
 from repro.netmod.registry import build_netmod
 from repro.netmod.shm import build_shmmod
@@ -48,6 +50,8 @@ class CH3Device:
         #: Protocol statistics for tests and the eager-threshold ablation.
         self.n_eager = 0
         self.n_rendezvous = 0
+        #: Precompiled charge plans of the step tables.
+        self.plans: dict[int, ChargePlan] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -58,9 +62,16 @@ class CH3Device:
                 "the proposed MPI-standard extensions")
 
     def _charge_steps(self, steps) -> None:
-        charge = self.proc.charge
-        for category, subsystem, cost in steps.values():
-            charge(category, cost, subsystem)
+        """Charge a CH3 step table: one plan per table, recorded on first
+        use.  Tables are immutable members of the device's cost model,
+        so the table's identity keys its plan."""
+        plan = self.plans.get(id(steps))
+        if plan is None:
+            rec = ChargeRecorder(self.proc)
+            for category, subsystem, cost in steps.values():
+                rec.charge(category, cost, subsystem)
+            plan = self.plans[id(steps)] = rec.plan()
+        self.proc.apply_plan(plan)
 
     def _transport_for(self, dest_world: int) -> Netmod:
         if (dest_world == self.proc.world_rank

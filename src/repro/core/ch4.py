@@ -9,10 +9,14 @@ Design goals transcribed from Section 2 of the paper:
    operation descriptor and the netmod/shmmod decides native-vs-AM
    with complete information.
 
-Every step charges its calibrated instruction cost *as it executes*;
-extension flags (Section 3 proposals) replace expensive steps with
-their cheap counterparts, so Table 1 / Figures 2 and 6 fall out of the
-accounting of real executions.
+Every step charges its calibrated instruction cost; extension flags
+(Section 3 proposals) replace expensive steps with their cheap
+counterparts, so Table 1 / Figures 2 and 6 fall out of the accounting
+of real executions.  The point-to-point steps are static for a call
+shape (flags, handle kind, rank-translation kind, datatype usage class,
+peer kind), so the first call of each shape records them into a
+:class:`~repro.instrument.plan.ChargePlan` cached on the device, and
+every call applies the plan.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.errors import MPIErrArg, MPIErrRank
 from repro.instrument.categories import Category, Subsystem
 from repro.instrument.costs import COSTS, CostModel, MandatoryCosts, RedundantCheckCosts
 from repro.instrument.fastpath import fastpath
+from repro.instrument.plan import ChargePlan, ChargeRecorder
 from repro.netmod.base import Netmod
 from repro.netmod.registry import build_netmod
 from repro.netmod.shm import build_shmmod
@@ -61,10 +66,15 @@ class CH4Device:
         #: extra instruction charges on the fast path).
         self.n_eager = 0
         self.n_rendezvous = 0
+        #: Precompiled point-to-point charge plans, one per call shape.
+        self.plans: dict[tuple, "ChargePlan | tuple[ChargePlan, ...]"] = {}
 
     # ------------------------------------------------------------------ #
     # shared charging helpers                                             #
     # ------------------------------------------------------------------ #
+    #
+    # Each helper charges *proc*: the rank's Proc on the step-wise RMA
+    # path, or a ChargeRecorder while a point-to-point plan compiles.
 
     def _transport_for(self, dest_world: int) -> Netmod:
         """CH4 core locality check: self/intra-node -> shmmod, else netmod."""
@@ -75,15 +85,16 @@ class CH4Device:
         return self.netmod
 
     @fastpath
-    def _charge_object_lookup(self, flags: ExtFlags, static_handle: bool,
+    def _charge_object_lookup(self, proc, flags: ExtFlags,
+                              static_handle: bool,
                               mandatory: MandatoryCosts) -> None:
         """Section 3.3: dynamic-object dereference vs static-index load."""
         if flags.static_comm or static_handle:
-            self.proc.charge(_MAND, self.costs.predefined_object_lookup,
-                             Subsystem.OBJECT_LOOKUP)
+            proc.charge(_MAND, self.costs.predefined_object_lookup,
+                        Subsystem.OBJECT_LOOKUP)
         else:
-            self.proc.charge(_MAND, mandatory.object_lookup,
-                             Subsystem.OBJECT_LOOKUP)
+            proc.charge(_MAND, mandatory.object_lookup,
+                        Subsystem.OBJECT_LOOKUP)
 
     def _redundant_checks_needed(self, dtref: DatatypeRef) -> bool:
         """Section 2.2: which datatype-usage classes keep their runtime
@@ -98,36 +109,36 @@ class CH4Device:
         return scope is not IpoScope.WHOLE_PROGRAM   # Class 3
 
     @fastpath
-    def _charge_redundant(self, dtref: DatatypeRef,
+    def _charge_redundant(self, proc, dtref: DatatypeRef,
                           costs: RedundantCheckCosts) -> None:
         if self._redundant_checks_needed(dtref):
-            self.proc.charge(_RED, costs.datatype_size)
-            self.proc.charge(_RED, costs.contiguity)
-            self.proc.charge(_RED, costs.builtin_branch)
-            self.proc.charge(_RED, costs.addr_arith)
+            proc.charge(_RED, costs.datatype_size)
+            proc.charge(_RED, costs.contiguity)
+            proc.charge(_RED, costs.builtin_branch)
+            proc.charge(_RED, costs.addr_arith)
 
     @fastpath
-    def _charge_rank_translation(self, comm, flags: ExtFlags,
+    def _charge_rank_translation(self, proc, comm, flags: ExtFlags,
                                  mandatory: MandatoryCosts) -> None:
         """Section 3.1: communicator-rank translation (or the global-rank
         bypass).  Direct-table communicators charge their cheap 2-instr
         lookup; the calibrated default (compressed) charges the
         per-operation calibrated cost."""
         if flags.global_rank:
-            self.proc.charge(_MAND, self.costs.global_rank_lookup,
-                             Subsystem.RANK_TRANSLATION)
+            proc.charge(_MAND, self.costs.global_rank_lookup,
+                        Subsystem.RANK_TRANSLATION)
         elif isinstance(comm.translation, DirectTableTranslation):
-            self.proc.charge(_MAND, comm.translation.lookup_instructions,
-                             Subsystem.RANK_TRANSLATION)
+            proc.charge(_MAND, comm.translation.lookup_instructions,
+                        Subsystem.RANK_TRANSLATION)
         else:
-            self.proc.charge(_MAND, mandatory.rank_translation,
-                             Subsystem.RANK_TRANSLATION)
+            proc.charge(_MAND, mandatory.rank_translation,
+                        Subsystem.RANK_TRANSLATION)
 
     def _resolve_dest(self, comm, dest: int, flags: ExtFlags) -> int:
         return dest if flags.global_rank else comm.translation.world_rank(dest)
 
     @fastpath
-    def _charge_match_bits(self, comm, flags: ExtFlags,
+    def _charge_match_bits(self, proc, comm, flags: ExtFlags,
                            mandatory: MandatoryCosts) -> None:
         """Section 3.6: full match bits, arrival-order bits, or the
         single-load form when the context is static (3.6 + 3.3)."""
@@ -136,10 +147,9 @@ class CH4Device:
                           or comm.is_predefined_handle)
             n = (self.costs.nomatch_bits_static if static_ctx
                  else self.costs.nomatch_bits)
-            self.proc.charge(_MAND, n, Subsystem.MATCH_BITS)
+            proc.charge(_MAND, n, Subsystem.MATCH_BITS)
         else:
-            self.proc.charge(_MAND, mandatory.match_bits,
-                             Subsystem.MATCH_BITS)
+            proc.charge(_MAND, mandatory.match_bits, Subsystem.MATCH_BITS)
 
     # ------------------------------------------------------------------ #
     # point-to-point                                                      #
@@ -147,46 +157,76 @@ class CH4Device:
 
     @fastpath
     def isend(self, op: SendOp) -> Optional[Request]:
-        """Issue a send; returns None under the noreq extension."""
-        proc, c = self.proc, self.costs
-        man = c.isend_mandatory
+        """Issue a send; returns None under the noreq extension.
+
+        The charges are two plans, applied before and after the
+        destination lookup: that lookup is the one step whose failure
+        depends on the argument's value (an invalid rank in a build
+        without error checking), and failing there must leave exactly
+        the charges made before it."""
+        proc = self.proc
         flags = op.flags
         comm = op.comm
+        null = op.dest == PROC_NULL
+        shape = ("isend", flags, comm.is_predefined_handle,
+                 type(comm.translation), op.dtref.usage, null, op.sync)
+        plans = self.plans.get(shape)
+        if plans is None:
+            # First call of this shape: record what each step charges,
+            # up to where the shape leaves the path.
+            c = self.costs
+            man = c.isend_mandatory
+            rec = ChargeRecorder(proc)
+            self._charge_object_lookup(rec, flags, comm.is_predefined_handle,
+                                       man)
+            self._charge_redundant(rec, op.dtref, c.isend_redundant)
+            # Section 3.4: MPI_PROC_NULL.
+            if flags.no_proc_null:
+                leaves = null and proc.config.error_checking
+            else:
+                rec.charge(_MAND, man.proc_null, Subsystem.PROC_NULL)
+                leaves = null
+            if not leaves:
+                self._charge_rank_translation(rec, comm, flags, man)
+            head = rec.plan()
+            rec = ChargeRecorder(proc)
+            if not leaves:
+                self._charge_match_bits(rec, comm, flags, man)
+                # Section 3.5: per-operation request vs bulk counter.
+                if not flags.noreq:
+                    rec.charge(_MAND, man.request_mgmt,
+                               Subsystem.REQUEST_MGMT)
+                elif not op.sync:
+                    rec.charge(_MAND, c.noreq_counter_inc,
+                               Subsystem.REQUEST_MGMT)
+                if not (flags.noreq and op.sync):
+                    # Descriptor fill (fused under the combined
+                    # extensions, §3.7).
+                    desc = (c.fused_descriptor_isend if flags.fused_pt2pt
+                            else man.descriptor)
+                    rec.charge(_MAND, desc, Subsystem.DESCRIPTOR)
+            plans = self.plans[shape] = (head, rec.plan())
+        head, tail = plans
+        proc.apply_plan(head)
 
-        self._charge_object_lookup(flags, comm.is_predefined_handle, man)
-        self._charge_redundant(op.dtref, c.isend_redundant)
-
-        # Section 3.4: MPI_PROC_NULL.
         if flags.no_proc_null:
-            if proc.config.error_checking and op.dest == PROC_NULL:
+            if proc.config.error_checking and null:
                 raise MPIErrRank(
                     f"{op.mpi_name}: NPN routine called with MPI_PROC_NULL")
-        else:
-            proc.charge(_MAND, man.proc_null, Subsystem.PROC_NULL)
-            if op.dest == PROC_NULL:
-                return self._null_send(op)
+        elif null:
+            return self._null_send(op)
 
-        self._charge_rank_translation(comm, flags, man)
         dest_world = self._resolve_dest(comm, op.dest, flags)
-
-        self._charge_match_bits(comm, flags, man)
+        proc.apply_plan(tail)
         env = Envelope(ctx=comm.ctx, src=comm.rank, tag=op.tag,
                        nomatch=flags.nomatch)
 
-        # Section 3.5: per-operation request vs bulk counter.
         if flags.noreq:
             if op.sync:
                 raise MPIErrArg("synchronous mode cannot combine with noreq")
-            proc.charge(_MAND, c.noreq_counter_inc, Subsystem.REQUEST_MGMT)
             request = None
         else:
-            proc.charge(_MAND, man.request_mgmt, Subsystem.REQUEST_MGMT)
             request = proc.request_pool.acquire(RequestKind.SEND)
-
-        # Descriptor fill (fused under the combined extensions, §3.7).
-        desc = (c.fused_descriptor_isend if flags.fused_pt2pt
-                else man.descriptor)
-        proc.charge(_MAND, desc, Subsystem.DESCRIPTOR)
 
         # Zero-copy fast path: the payload borrows the application
         # buffer; the request pins the view until recycled.  Fault-
@@ -260,16 +300,25 @@ class CH4Device:
         on the wire-bound path.  (Found by the FP104 audit rule: this
         acquired and completed a request without charging for it.)
         """
-        c = self.costs
-        if op.flags.noreq:
-            self.proc.charge(_MAND, c.noreq_counter_inc,
-                             Subsystem.REQUEST_MGMT)
-            op.comm.note_noreq_issue(self.proc.vclock.now)
+        proc = self.proc
+        noreq = op.flags.noreq
+        shape = ("null_send", noreq)
+        plan = self.plans.get(shape)
+        if plan is None:
+            c = self.costs
+            rec = ChargeRecorder(proc)
+            if noreq:
+                rec.charge(_MAND, c.noreq_counter_inc, Subsystem.REQUEST_MGMT)
+            else:
+                rec.charge(_MAND, c.isend_mandatory.request_mgmt,
+                           Subsystem.REQUEST_MGMT)
+            plan = self.plans[shape] = rec.plan()
+        proc.apply_plan(plan)
+        if noreq:
+            op.comm.note_noreq_issue(proc.vclock.now)
             return None
-        self.proc.charge(_MAND, c.isend_mandatory.request_mgmt,
-                         Subsystem.REQUEST_MGMT)
-        request = self.proc.request_pool.acquire(RequestKind.SEND)
-        request.complete(self.proc.vclock.now)
+        request = proc.request_pool.acquire(RequestKind.SEND)
+        request.complete(proc.vclock.now)
         return request
 
     @fastpath
@@ -280,38 +329,52 @@ class CH4Device:
         MPI_IRECV's analysis because "the software path is largely
         identical ... for network APIs that support matching".
         """
-        proc, c = self.proc, self.costs
-        man = c.isend_mandatory
+        proc = self.proc
         flags = op.flags
         comm = op.comm
-
-        self._charge_object_lookup(flags, comm.is_predefined_handle, man)
-        self._charge_redundant(op.dtref, c.isend_redundant)
-
-        # Charged at the acquire itself so the PROC_NULL early return
-        # below pays for the handle it hands back (audit rule FP104).
-        proc.charge(_MAND, man.request_mgmt, Subsystem.REQUEST_MGMT)
+        source = op.source
+        peer = source if source in (PROC_NULL, ANY_SOURCE) else 0
+        shape = ("irecv", flags, comm.is_predefined_handle,
+                 type(comm.translation), op.dtref.usage, peer)
+        plan = self.plans.get(shape)
+        if plan is None:
+            # First call of this shape: record what each step charges,
+            # up to where the shape leaves the path.
+            c = self.costs
+            man = c.isend_mandatory
+            rec = ChargeRecorder(proc)
+            self._charge_object_lookup(rec, flags, comm.is_predefined_handle,
+                                       man)
+            self._charge_redundant(rec, op.dtref, c.isend_redundant)
+            # Charged with the acquire so the PROC_NULL early return
+            # pays for the handle it hands back (audit rule FP104).
+            rec.charge(_MAND, man.request_mgmt, Subsystem.REQUEST_MGMT)
+            if flags.no_proc_null:
+                leaves = peer == PROC_NULL and proc.config.error_checking
+            else:
+                rec.charge(_MAND, man.proc_null, Subsystem.PROC_NULL)
+                leaves = peer == PROC_NULL
+            if not leaves:
+                if peer != ANY_SOURCE:
+                    self._charge_rank_translation(rec, comm, flags, man)
+                self._charge_match_bits(rec, comm, flags, man)
+                desc = (c.fused_descriptor_isend if flags.fused_pt2pt
+                        else man.descriptor)
+                rec.charge(_MAND, desc, Subsystem.DESCRIPTOR)
+            plan = self.plans[shape] = rec.plan()
+        proc.apply_plan(plan)
         request = proc.request_pool.acquire(RequestKind.RECV)
 
         if flags.no_proc_null:
-            if proc.config.error_checking and op.source == PROC_NULL:
+            if proc.config.error_checking and source == PROC_NULL:
                 raise MPIErrRank(
                     f"{op.mpi_name}: NPN routine called with MPI_PROC_NULL")
-        else:
-            proc.charge(_MAND, man.proc_null, Subsystem.PROC_NULL)
-            if op.source == PROC_NULL:
-                # Standard: receive from PROC_NULL completes immediately
-                # with source=PROC_NULL, tag=ANY_TAG, zero data.
-                request.complete(proc.vclock.now, source=PROC_NULL,
-                                 tag=-1, count_bytes=0)
-                return request
-
-        if op.source != ANY_SOURCE:
-            self._charge_rank_translation(comm, flags, man)
-        self._charge_match_bits(comm, flags, man)
-        desc = (c.fused_descriptor_isend if flags.fused_pt2pt
-                else man.descriptor)
-        proc.charge(_MAND, desc, Subsystem.DESCRIPTOR)
+        elif source == PROC_NULL:
+            # Standard: receive from PROC_NULL completes immediately
+            # with source=PROC_NULL, tag=ANY_TAG, zero data.
+            request.complete(proc.vclock.now, source=PROC_NULL,
+                             tag=-1, count_bytes=0)
+            return request
 
         buf = op.buf
         count = op.count
@@ -367,9 +430,9 @@ class CH4Device:
         flags = op.flags
         win = op.win
 
-        self._charge_object_lookup(flags, win.is_predefined_handle,
+        self._charge_object_lookup(proc, flags, win.is_predefined_handle,
                                    mandatory)
-        self._charge_redundant(op.origin_dtref, redundant)
+        self._charge_redundant(proc, op.origin_dtref, redundant)
 
         if flags.no_proc_null:
             if proc.config.error_checking and op.target_rank == PROC_NULL:
@@ -380,7 +443,7 @@ class CH4Device:
             if op.target_rank == PROC_NULL:
                 return None
 
-        self._charge_rank_translation(win.comm, flags, mandatory)
+        self._charge_rank_translation(proc, win.comm, flags, mandatory)
         target_world = self._resolve_dest(win.comm, op.target_rank, flags)
         state = win.state_of(target_world)
 

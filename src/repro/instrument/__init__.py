@@ -9,7 +9,10 @@ to a :class:`~repro.instrument.categories.Category`.  The charge
 happens *inside the code that performs the step*, so disabling a
 feature (a build without error checking, an extension that skips rank
 translation) removes the charge because the code is genuinely skipped —
-counts are produced by execution, not by table lookup.
+counts are produced by execution, not by table lookup.  Sequences that
+are static for a call shape are recorded once, by running those same
+charge statements against a :class:`~repro.instrument.plan.ChargeRecorder`,
+and then applied as one :class:`~repro.instrument.plan.ChargePlan`.
 
 Calibration: per-step costs in :mod:`repro.instrument.costs` are chosen
 so that the executed paths reproduce the paper's published aggregates
@@ -32,6 +35,7 @@ from repro.instrument.counter import (
     charge,
     scoped_counter,
 )
+from repro.instrument.plan import ChargePlan, ChargeRecorder
 from repro.instrument.trace import CallRecord, CallTracer
 from repro.instrument.report import (
     format_table,
@@ -58,6 +62,8 @@ __all__ = [
     "uninstall_counter",
     "charge",
     "scoped_counter",
+    "ChargePlan",
+    "ChargeRecorder",
     "CallRecord",
     "CallTracer",
     "format_table",

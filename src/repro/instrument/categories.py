@@ -102,6 +102,14 @@ class Subsystem(enum.Enum):
         return self.value
 
 
+# Dense integer slots: counters and charge plans keep their counts in
+# lists indexed by ``member.index``, so charging never hashes a member.
+for _enum in (Category, Subsystem):
+    for _index, _member in enumerate(_enum):
+        _member.index = _index
+del _enum, _index, _member
+
+
 #: Subsystems whose charges the Section 3 proposals target, in the
 #: order the paper presents them.
 PROPOSAL_ORDER = (

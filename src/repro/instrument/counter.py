@@ -7,17 +7,22 @@ charges, by :class:`Subsystem`.  The hot-path entry point is
 :meth:`InstructionCounter.charge`; a module-level :func:`charge`
 convenience resolves the thread's installed counter first.
 
-The counter is deliberately dumb — plain integer accumulation — so the
-pytest-benchmark measurements of the real Python critical path are not
-distorted by the accounting itself.
+Counts live in plain lists indexed by ``Category.index`` /
+``Subsystem.index`` (a precompiled
+:class:`~repro.instrument.plan.ChargePlan` adds into them directly);
+:attr:`InstructionCounter.by_category`, ``by_subsystem`` and
+:meth:`InstructionCounter.snapshot` expose them as read-only mappings
+keyed by the enum members.
 """
 
 from __future__ import annotations
 
+import enum
 import threading
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Sequence
 
 from repro.instrument.categories import Category, Subsystem
 
@@ -43,6 +48,36 @@ class Snapshot:
         )
 
 
+class CountView(Mapping):
+    """Read-only mapping from the members of one enum to the counts a
+    list holds at their ``index`` — a live view when the list is a
+    counter's own, a frozen one in a :class:`Snapshot`."""
+
+    __slots__ = ("_members", "_counts")
+
+    def __init__(self, members: Sequence[enum.Enum], counts: Sequence[int]):
+        self._members = members
+        self._counts = counts
+
+    def __getitem__(self, member: enum.Enum) -> int:
+        if member not in self._members:
+            raise KeyError(member)
+        return self._counts[member.index]
+
+    def __iter__(self) -> Iterator[enum.Enum]:
+        return iter(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return repr(dict(self))
+
+
+_CATEGORIES = tuple(Category)
+_SUBSYSTEMS = tuple(Subsystem)
+
+
 class InstructionCounter:
     """Accumulates abstract-instruction charges for one rank.
 
@@ -53,36 +88,48 @@ class InstructionCounter:
         reports.
     """
 
-    __slots__ = ("label", "total", "by_category", "by_subsystem")
+    __slots__ = ("label", "total", "categories", "subsystems")
 
     def __init__(self, label: str = ""):
         self.label = label
         self.total = 0
-        self.by_category: dict[Category, int] = {c: 0 for c in Category}
-        self.by_subsystem: dict[Subsystem, int] = {s: 0 for s in Subsystem}
+        #: Per-category counts, indexed by ``Category.index``.
+        self.categories: list[int] = [0] * len(_CATEGORIES)
+        #: Per-subsystem counts, indexed by ``Subsystem.index``.
+        self.subsystems: list[int] = [0] * len(_SUBSYSTEMS)
+
+    @property
+    def by_category(self) -> Mapping[Category, int]:
+        """Live read-only view: category -> instructions charged."""
+        return CountView(_CATEGORIES, self.categories)
+
+    @property
+    def by_subsystem(self) -> Mapping[Subsystem, int]:
+        """Live read-only view: mandatory subsystem -> instructions."""
+        return CountView(_SUBSYSTEMS, self.subsystems)
 
     def charge(self, category: Category, n: int,
                subsystem: Subsystem | None = None) -> None:
         """Charge *n* abstract instructions to *category* (and optionally
         attribute them to a mandatory *subsystem*)."""
         self.total += n
-        self.by_category[category] += n
+        self.categories[category.index] += n
         if subsystem is not None:
-            self.by_subsystem[subsystem] += n
+            self.subsystems[subsystem.index] += n
 
     def reset(self) -> None:
         """Zero all accumulators."""
         self.total = 0
-        for c in self.by_category:
-            self.by_category[c] = 0
-        for s in self.by_subsystem:
-            self.by_subsystem[s] = 0
+        self.categories[:] = [0] * len(_CATEGORIES)
+        self.subsystems[:] = [0] * len(_SUBSYSTEMS)
 
     def snapshot(self) -> Snapshot:
-        """Copy the current state (cheap: two small dict copies)."""
+        """Copy the current state (cheap: two small list copies)."""
         return Snapshot(total=self.total,
-                        by_category=dict(self.by_category),
-                        by_subsystem=dict(self.by_subsystem))
+                        by_category=CountView(_CATEGORIES,
+                                              tuple(self.categories)),
+                        by_subsystem=CountView(_SUBSYSTEMS,
+                                               tuple(self.subsystems)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"InstructionCounter({self.label!r}, total={self.total})")

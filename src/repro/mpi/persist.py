@@ -23,6 +23,7 @@ from repro.errors import MPIErrRequest
 from repro.instrument.categories import Category, Subsystem
 from repro.instrument.costs import COSTS
 from repro.instrument.fastpath import fastpath
+from repro.instrument.plan import ChargeRecorder
 from repro.mpi.pt2pt import mpi_entry, normalize_buffer, validate_recv, \
     validate_send
 from repro.runtime.matching import PostedRecv
@@ -94,44 +95,48 @@ class PersistentSend(PersistentRequest):
         if self.is_null:
             request.complete(proc.vclock.now)
             return request
-        with proc.timed_call():
+        plan = proc.plans.get(("start", "send"))
+        if plan is None:
+            rec = ChargeRecorder(proc)
             if not proc.config.ipo:
-                proc.charge(Category.FUNCTION_CALL,
-                            COSTS.isend_function_call)
+                rec.charge(Category.FUNCTION_CALL, COSTS.isend_function_call)
             if proc.config.device is Device.CH4:
                 # Reuse + descriptor only: the persistent fast start.
-                proc.charge(Category.MANDATORY, COSTS.noreq_counter_inc,
-                            Subsystem.REQUEST_MGMT)
-                proc.charge(Category.MANDATORY,
-                            COSTS.isend_mandatory.descriptor,
-                            Subsystem.DESCRIPTOR)
-                device = proc.device
-                payload = pack(self.buf, self.count, self.dtref.datatype,
-                               copy=not proc.config.zero_copy
-                               or proc.faults is not None)
-                request._keepalive = payload
-                if proc.sanitizer is not None:
-                    proc.sanitizer.note_send(
-                        request, self.dest_world, False, payload,
-                        (self.buf, self.count, self.dtref.datatype))
-                transport = device._transport_for(self.dest_world)
-                native = (not device.force_am and transport.send_is_native(
-                    self.dtref.datatype.contig))
-                result = transport.issue(len(payload), native)
-                proc.deliver(self.dest_world,
-                             Message(env=self.env, data=payload,
-                                     arrive_s=result.arrive_s))
-                request.complete(result.complete_s)
-            else:
-                # CH3 never specialized persistent ops: full path.
-                op = SendOp(buf=self.buf, count=self.count,
-                            dtref=self.dtref, dest=self.dest,
-                            tag=self.tag, comm=comm,
-                            mpi_name="MPI_Start")
-                inner = proc.device.isend(op)
-                inner.wait()
-                request.complete(inner.complete_s)
-                proc.request_pool.release(inner)
+                rec.charge(Category.MANDATORY, COSTS.noreq_counter_inc,
+                           Subsystem.REQUEST_MGMT)
+                rec.charge(Category.MANDATORY,
+                           COSTS.isend_mandatory.descriptor,
+                           Subsystem.DESCRIPTOR)
+            plan = proc.plans[("start", "send")] = rec.plan()
+        proc.apply_plan(plan)
+        if proc.config.device is Device.CH4:
+            device = proc.device
+            payload = pack(self.buf, self.count, self.dtref.datatype,
+                           copy=not proc.config.zero_copy
+                           or proc.faults is not None)
+            request._keepalive = payload
+            if proc.sanitizer is not None:
+                proc.sanitizer.note_send(
+                    request, self.dest_world, False, payload,
+                    (self.buf, self.count, self.dtref.datatype))
+            transport = device._transport_for(self.dest_world)
+            native = (not device.force_am and transport.send_is_native(
+                self.dtref.datatype.contig))
+            result = transport.issue(len(payload), native)
+            proc.deliver(self.dest_world,
+                         Message(env=self.env, data=payload,
+                                 arrive_s=result.arrive_s))
+            request.complete(result.complete_s)
+        else:
+            # CH3 never specialized persistent ops: full path.
+            op = SendOp(buf=self.buf, count=self.count,
+                        dtref=self.dtref, dest=self.dest,
+                        tag=self.tag, comm=comm,
+                        mpi_name="MPI_Start")
+            inner = proc.device.isend(op)
+            inner.wait()
+            request.complete(inner.complete_s)
+            proc.request_pool.release(inner)
         return request
 
 
@@ -156,46 +161,50 @@ class PersistentRecv(PersistentRequest):
             request = proc.request_pool.acquire(RequestKind.RECV)
             request.complete(proc.vclock.now, source=PROC_NULL, tag=-1)
             return request
-        with proc.timed_call():
+        plan = proc.plans.get(("start", "recv"))
+        if plan is None:
+            rec = ChargeRecorder(proc)
             if not proc.config.ipo:
-                proc.charge(Category.FUNCTION_CALL,
-                            COSTS.isend_function_call)
+                rec.charge(Category.FUNCTION_CALL, COSTS.isend_function_call)
             if proc.config.device is Device.CH4:
-                proc.charge(Category.MANDATORY, COSTS.noreq_counter_inc,
-                            Subsystem.REQUEST_MGMT)
-                proc.charge(Category.MANDATORY,
-                            COSTS.isend_mandatory.descriptor,
-                            Subsystem.DESCRIPTOR)
-                request = proc.request_pool.acquire(RequestKind.RECV)
-                buf, count, datatype = self.buf, self.count, \
-                    self.dtref.datatype
+                rec.charge(Category.MANDATORY, COSTS.noreq_counter_inc,
+                           Subsystem.REQUEST_MGMT)
+                rec.charge(Category.MANDATORY,
+                           COSTS.isend_mandatory.descriptor,
+                           Subsystem.DESCRIPTOR)
+            plan = proc.plans[("start", "recv")] = rec.plan()
+        proc.apply_plan(plan)
+        if proc.config.device is Device.CH4:
+            request = proc.request_pool.acquire(RequestKind.RECV)
+            buf, count, datatype = self.buf, self.count, \
+                self.dtref.datatype
 
-                def on_match(msg: Message) -> None:
-                    try:
-                        from repro.datatypes.pack import unpack
-                        unpack(msg.data, buf, count, datatype)
-                        request.complete(msg.arrive_s, source=msg.env.src,
-                                         tag=msg.env.tag,
-                                         count_bytes=len(msg.data))
-                    except BaseException as exc:  # noqa: BLE001
-                        request.complete(msg.arrive_s,
-                                         source=msg.env.src,
-                                         tag=msg.env.tag, error=exc)
+            def on_match(msg: Message) -> None:
+                try:
+                    from repro.datatypes.pack import unpack
+                    unpack(msg.data, buf, count, datatype)
+                    request.complete(msg.arrive_s, source=msg.env.src,
+                                     tag=msg.env.tag,
+                                     count_bytes=len(msg.data))
+                except BaseException as exc:  # noqa: BLE001
+                    request.complete(msg.arrive_s,
+                                     source=msg.env.src,
+                                     tag=msg.env.tag, error=exc)
 
-                if proc.sanitizer is not None:
-                    proc.sanitizer.note_recv(
-                        request, None if self.source == ANY_SOURCE
-                        else comm.translation.world_rank(self.source))
-                proc.engine.post(
-                    PostedRecv(ctx=comm.ctx, src=self.source,
-                               tag=self.tag, nomatch=False,
-                               request=request, on_match=on_match),
-                    now_s=proc.vclock.now)
-                return request
-            op = RecvOp(buf=self.buf, count=self.count, dtref=self.dtref,
-                        source=self.source, tag=self.tag, comm=comm,
-                        mpi_name="MPI_Start")
-            return proc.device.irecv(op)
+            if proc.sanitizer is not None:
+                proc.sanitizer.note_recv(
+                    request, None if self.source == ANY_SOURCE
+                    else comm.translation.world_rank(self.source))
+            proc.engine.post(
+                PostedRecv(ctx=comm.ctx, src=self.source,
+                           tag=self.tag, nomatch=False,
+                           request=request, on_match=on_match),
+                now_s=proc.vclock.now)
+            return request
+        op = RecvOp(buf=self.buf, count=self.count, dtref=self.dtref,
+                    source=self.source, tag=self.tag, comm=comm,
+                    mpi_name="MPI_Start")
+        return proc.device.irecv(op)
 
 
 def startall(requests: list[PersistentRequest]) -> list[Request]:

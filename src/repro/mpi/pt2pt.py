@@ -3,7 +3,10 @@
 This module is the paper's "MPI layer" for sends/receives: the
 function-call overhead, the (optional) error checking, and the
 (optional) thread-safety gate all live here, each charging its Table 1
-cost only when the build actually performs it.
+cost only when the build actually performs it.  Those charges are
+static for a rank, so each function records them once into a
+:class:`~repro.instrument.plan.ChargePlan` cached on the rank's
+``Proc`` and applies the plan on every call.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.errors import (
 from repro.instrument.categories import Category
 from repro.instrument.costs import ErrorCheckCosts
 from repro.instrument.fastpath import fastpath
+from repro.instrument.plan import ChargePlan, ChargeRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Communicator
@@ -56,29 +60,38 @@ def mpi_entry(proc: "Proc", function_call_cost: int,
     persistent/collective internals, every ``num_vcis=1`` call — take
     ``proc.cs_lock``, which is VCI 0's lock.  Charged instruction
     counts are identical either way (the lock choice and the occupancy
-    note are real-Python bookkeeping only)."""
+    note are real-Python bookkeeping only).
+
+    The entry's charges depend only on the build and the two costs, so
+    they are one plan per cost pair, recorded on first use."""
     config = proc.config
     t0 = proc.vclock.now if proc.timeline is not None else 0.0
     if proc.sanitizer is not None and name is not None:
         proc.sanitizer.note_api(name)   # labels leak/deadlock reports
     if proc.faults is not None:
         proc.faults.check_self()   # stash flush + fault-plan rank kill
+    key = ("entry", function_call_cost, thread_check_cost)
+    plan = proc.plans.get(key)
+    if plan is None:
+        rec = ChargeRecorder(proc)
+        if not config.ipo:
+            rec.charge(Category.FUNCTION_CALL, function_call_cost)
+        if config.thread_safety:
+            rec.charge(Category.THREAD_SAFETY, thread_check_cost)
+        plan = proc.plans[key] = rec.plan()
     try:  # audit: allow[FP204] - timeline bookkeeping must not leak
-        with proc.timed_call():
-            if not config.ipo:
-                proc.charge(Category.FUNCTION_CALL, function_call_cost)
-            if config.thread_safety:
-                proc.charge(Category.THREAD_SAFETY, thread_check_cost)
-                cs_lock = proc.cs_lock if vci is None else vci.lock
-                with cs_lock:  # audit: allow[FP203] - the modeled CS
-                    if vci is None:
-                        yield
-                    else:
-                        cs_entry_total = proc.counter.total
-                        yield
-                        vci.note_cs(proc.counter.total - cs_entry_total)
-            else:
-                yield
+        proc.apply_plan(plan)
+        if config.thread_safety:
+            cs_lock = proc.cs_lock if vci is None else vci.lock
+            with cs_lock:  # audit: allow[FP203] - the modeled CS
+                if vci is None:
+                    yield
+                else:
+                    cs_entry_total = proc.counter.total
+                    yield
+                    vci.note_cs(proc.counter.total - cs_entry_total)
+        else:
+            yield
     except MPIError as exc:
         # Annotate every error escaping an MPI entry with the raising
         # rank and the operation name, so error-handler callbacks and
@@ -101,6 +114,20 @@ def mpi_entry(proc: "Proc", function_call_cost: int,
 
 BufArg = Union[np.ndarray, tuple]
 
+#: The Class-2 reference of every numpy dtype seen so far: a buffer's
+#: datatype is resolved once per dtype, not once per call (the way
+#: GPAW's ``CHK_ARRAY`` binds an array to its MPI type).  It memoizes a
+#: fixed mapping to frozen values, so ranks and tests can share it.
+#: Misses are never cached, so an unsupported dtype raises on every call.
+_NUMPY_REFS: dict[np.dtype, DatatypeRef] = {}
+
+
+def _numpy_ref(dtype: np.dtype) -> DatatypeRef:
+    ref = _NUMPY_REFS.get(dtype)
+    if ref is None:
+        ref = _NUMPY_REFS[dtype] = compile_time(from_numpy_dtype(dtype))
+    return ref
+
 
 def normalize_buffer(arg: BufArg) -> tuple[Buffer, int, DatatypeRef]:
     """Normalize a user buffer argument.
@@ -114,7 +141,7 @@ def normalize_buffer(arg: BufArg) -> tuple[Buffer, int, DatatypeRef]:
     * ``(buf, datatype_or_ref)`` — count inferred from the buffer.
     """
     if isinstance(arg, np.ndarray):
-        return arg, arg.size, compile_time(from_numpy_dtype(arg.dtype))
+        return arg, arg.size, _numpy_ref(arg.dtype)
     if isinstance(arg, tuple):
         if len(arg) == 3:
             buf, count, dt = arg
@@ -144,6 +171,25 @@ def _buffer_nbytes(buf: Buffer) -> int:
 # ---------------------------------------------------------------------------
 # error checking (Table 1 row 1 — removable, hence behind the config flag)
 # ---------------------------------------------------------------------------
+#
+# Each validator's four charges are one plan per cost group, keyed by
+# the group's identity: groups are frozen members of the long-lived cost
+# model, and hashing the dataclass would cost more than the plan saves.
+# The checks run first; a failing check charges the plan's steps up to
+# and including its own (what step-wise charging had charged), then
+# raises.
+
+#: Plan steps charged when the argument, datatype, object or rank check
+#: fails.
+_ARGS, _DATATYPE, _OBJECT, _RANK = 1, 2, 3, 4
+
+
+def _fail(proc: "Proc", plan: ChargePlan, steps: int,
+          exc: MPIError) -> MPIError:
+    """Charge the first *steps* steps of *plan*; returns *exc* to raise."""
+    proc.apply_plan(plan.prefix(steps))
+    return exc
+
 
 @fastpath
 def validate_send(proc: "Proc", err: ErrorCheckCosts, comm: "Communicator",
@@ -151,29 +197,36 @@ def validate_send(proc: "Proc", err: ErrorCheckCosts, comm: "Communicator",
                   dest: int, tag: int, global_rank: bool = False) -> None:
     """Send-side argument validation, charging per Table 1's
     error-checking decomposition."""
-    proc.charge(Category.ERROR_CHECKING, err.args_basic)
+    key = ("validate_send", id(err))
+    plan = proc.plans.get(key)
+    if plan is None:
+        rec = ChargeRecorder(proc)
+        rec.charge(Category.ERROR_CHECKING, err.args_basic)
+        rec.charge(Category.ERROR_CHECKING, err.datatype_committed)
+        rec.charge(Category.ERROR_CHECKING, err.object_valid)
+        rec.charge(Category.ERROR_CHECKING, err.rank_range)
+        plan = proc.plans[key] = rec.plan()
     if count < 0:
-        raise MPIErrCount(f"count must be >= 0, got {count}")
+        raise _fail(proc, plan, _ARGS,
+                    MPIErrCount(f"count must be >= 0, got {count}"))
     if not 0 <= tag <= TAG_UB:
-        raise MPIErrTag(f"tag must be in [0, {TAG_UB}], got {tag}")
+        raise _fail(proc, plan, _ARGS, MPIErrTag(
+            f"tag must be in [0, {TAG_UB}], got {tag}"))
     if buf is None and count > 0:
-        raise MPIErrBuffer("NULL buffer with nonzero count")
-
-    proc.charge(Category.ERROR_CHECKING, err.datatype_committed)
+        raise _fail(proc, plan, _ARGS,
+                    MPIErrBuffer("NULL buffer with nonzero count"))
     if not dtref.datatype.committed:
-        raise MPIErrDatatype(
-            f"datatype {dtref.datatype.name} used before commit")
-
-    proc.charge(Category.ERROR_CHECKING, err.object_valid)
+        raise _fail(proc, plan, _DATATYPE, MPIErrDatatype(
+            f"datatype {dtref.datatype.name} used before commit"))
     if comm.freed:
-        raise MPIErrComm("operation on a freed communicator")
-
-    proc.charge(Category.ERROR_CHECKING, err.rank_range)
+        raise _fail(proc, plan, _OBJECT,
+                    MPIErrComm("operation on a freed communicator"))
     limit = comm.world_size if global_rank else comm.size
     if dest != PROC_NULL and not 0 <= dest < limit:
-        raise MPIErrRank(
+        raise _fail(proc, plan, _RANK, MPIErrRank(
             f"destination {dest} outside [0, {limit}) "
-            f"({'world' if global_rank else 'communicator'} ranks)")
+            f"({'world' if global_rank else 'communicator'} ranks)"))
+    proc.apply_plan(plan)
 
 
 @fastpath
@@ -181,22 +234,28 @@ def validate_recv(proc: "Proc", err: ErrorCheckCosts, comm: "Communicator",
                   count: int, dtref: DatatypeRef, source: int,
                   tag: int) -> None:
     """Receive-side argument validation."""
-    proc.charge(Category.ERROR_CHECKING, err.args_basic)
+    key = ("validate_recv", id(err))
+    plan = proc.plans.get(key)
+    if plan is None:
+        rec = ChargeRecorder(proc)
+        rec.charge(Category.ERROR_CHECKING, err.args_basic)
+        rec.charge(Category.ERROR_CHECKING, err.datatype_committed)
+        rec.charge(Category.ERROR_CHECKING, err.object_valid)
+        rec.charge(Category.ERROR_CHECKING, err.rank_range)
+        plan = proc.plans[key] = rec.plan()
     if count < 0:
-        raise MPIErrCount(f"count must be >= 0, got {count}")
+        raise _fail(proc, plan, _ARGS,
+                    MPIErrCount(f"count must be >= 0, got {count}"))
     if tag != ANY_TAG and not 0 <= tag <= TAG_UB:
-        raise MPIErrTag(f"tag must be ANY_TAG or in [0, {TAG_UB}], got {tag}")
-
-    proc.charge(Category.ERROR_CHECKING, err.datatype_committed)
+        raise _fail(proc, plan, _ARGS, MPIErrTag(
+            f"tag must be ANY_TAG or in [0, {TAG_UB}], got {tag}"))
     if not dtref.datatype.committed:
-        raise MPIErrDatatype(
-            f"datatype {dtref.datatype.name} used before commit")
-
-    proc.charge(Category.ERROR_CHECKING, err.object_valid)
+        raise _fail(proc, plan, _DATATYPE, MPIErrDatatype(
+            f"datatype {dtref.datatype.name} used before commit"))
     if comm.freed:
-        raise MPIErrComm("operation on a freed communicator")
-
-    proc.charge(Category.ERROR_CHECKING, err.rank_range)
+        raise _fail(proc, plan, _OBJECT,
+                    MPIErrComm("operation on a freed communicator"))
     if source not in (ANY_SOURCE, PROC_NULL) and not 0 <= source < comm.size:
-        raise MPIErrRank(
-            f"source {source} outside [0, {comm.size}) and not a wildcard")
+        raise _fail(proc, plan, _RANK, MPIErrRank(
+            f"source {source} outside [0, {comm.size}) and not a wildcard"))
+    proc.apply_plan(plan)

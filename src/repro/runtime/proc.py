@@ -8,14 +8,14 @@ proxies all reach their world through it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.consts import ANY_SOURCE, ANY_TAG
 from repro.core.config import BuildConfig, Device
 from repro.fabric.model import FabricSpec, fabric_by_name
 from repro.instrument.categories import Category, Subsystem
 from repro.instrument.counter import InstructionCounter
+from repro.instrument.plan import ChargePlan
 from repro.instrument.trace import CallTracer
 from repro.runtime.matching import build_engine
 from repro.runtime.message import Message
@@ -47,6 +47,9 @@ class Proc:
         self.net_fabric: FabricSpec = fabric_by_name(config.fabric)
         self.shm_fabric: FabricSpec = fabric_by_name(config.shm_fabric)
         self.counter = InstructionCounter(label=f"rank {world_rank}")
+        #: Precompiled charge plans of the MPI layer, one per call
+        #: shape (the devices keep their own); see repro.instrument.plan.
+        self.plans: dict[tuple, ChargePlan] = {}
         self.tracer = CallTracer(self.counter)
         self.vclock = VClock(self.net_fabric)
         #: VCI sharding (``num_vcis=1`` is the unsharded calibrated
@@ -130,17 +133,33 @@ class Proc:
         The virtual clock advances immediately (charge-through), so any
         arrival time computed later in the same call already includes
         this work — the property that makes per-build software overhead
-        visible in end-to-end virtual timings.
+        visible in end-to-end virtual timings.  Static charge sequences
+        go through :meth:`apply_plan` instead; this is the path of the
+        dynamic ones.
         """
+        if n < 0:
+            raise ValueError(f"negative charge: {n} instructions")
         self.counter.charge(category, n, subsystem)
         self.vclock.advance_instructions(n)
 
-    @contextmanager
-    def timed_call(self) -> Iterator[None]:
-        """Marks one MPI-call region.  Clock advancement happens inside
-        :meth:`charge` (charge-through), so this is now only a
-        structural marker kept for call-site readability."""
-        yield
+    def apply_plan(self, plan: ChargePlan) -> None:
+        """Charge a precompiled :class:`ChargePlan` in one step: the
+        counts and the virtual clock end exactly where charging its
+        steps one by one would leave them (the clock adds each step's
+        seconds in order)."""
+        counter = self.counter
+        counter.total += plan.total
+        counts = counter.categories
+        for i, n in plan.by_category:
+            counts[i] += n
+        counts = counter.subsystems
+        for i, n in plan.by_subsystem:
+            counts[i] += n
+        clock = self.vclock
+        now = clock.now
+        for dt in plan.seconds:
+            now += dt
+        clock.now = now
 
     def charge_compute(self, seconds: float) -> None:
         """Advance virtual time by *seconds* of application compute.

@@ -46,7 +46,9 @@ class VClock:
 
     def advance_instructions(self, instructions: float) -> float:
         """Advance by the time *instructions* abstract instructions take."""
-        return self.advance_cycles(self._fabric.sw_cycles(instructions))
+        fabric = self._fabric
+        return self.advance_seconds(
+            fabric.cycles_to_seconds(fabric.sw_cycles(instructions)))
 
     def merge(self, remote_time: float) -> float:
         """Synchronize with a remote timestamp: ``now = max(now, t)``."""

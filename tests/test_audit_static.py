@@ -706,6 +706,47 @@ class TestDetectorGuardFixtures:
         assert scan_detectorguard(index) == []
 
 
+class TestChargePlanProvenance:
+    """Charges recorded into a plan are charge sites like any other: a
+    ``ChargeRecorder`` stands in for the Proc, so a recorded step with
+    an unknown category or an unregistered cost is still reported."""
+
+    SOURCE = """\
+        class Comm:
+            def Isend(self, proc, some_value):
+                rec = ChargeRecorder(proc)
+                rec.charge(Category.MANDATORY, COSTS.known)
+                rec.charge(some_value, COSTS.known)
+                rec.charge(Category.MANDATORY, 7)
+                proc.apply_plan(rec.plan())
+    """
+
+    def _run(self, tmp_path, source: str):
+        from repro.audit.manifest import AuditManifest
+        from repro.audit.provenance import run_provenance
+        from repro.instrument.categories import Category
+        from repro.instrument.costs import CostEntry
+        manifest = AuditManifest(
+            registry={"known": CostEntry("known", Category.MANDATORY,
+                                         None, 3)},
+            entry_points=(("Comm", "Isend"),), paths=(),
+            aux_name_keys={}, aux_attr_keys={})
+        return run_provenance(_index(tmp_path, source), manifest)
+
+    def test_recorded_steps_are_audited(self, tmp_path):
+        findings, results = self._run(tmp_path, self.SOURCE)
+        by_line = sorted((f.rule_id, f.line) for f in findings)
+        # Line 5: unknown category (FP101); line 6: unregistered 7 (FP102).
+        assert by_line == [("FP101", 5), ("FP102", 6)]
+        assert set(results["Comm.Isend"].reachable_keys()) == {"known"}
+
+    def test_unrecognised_sink_is_not_a_charge_site(self, tmp_path):
+        source = self.SOURCE.replace("ChargeRecorder(proc)", "Other(proc)")
+        findings, results = self._run(tmp_path, source)
+        assert results["Comm.Isend"].sites == []
+        assert [f.rule_id for f in findings] == ["FP103"]
+
+
 class TestGuardSpecs:
     """The parameterized checker registers all four disciplines."""
 
